@@ -5,7 +5,9 @@ The HTLC subsystem's throughput experiment, in two parts:
 - *exchanges*: N independent asset pairs (one on each network) swapped by
   N concurrent :class:`~repro.assets.AssetExchangeCoordinator` runs, every
   leg riding ``MSG_KIND_ASSET_*`` envelopes plus two proof-carrying
-  lock-verification queries per exchange;
+  lock-verification queries per exchange — and, beside that row, the
+  same exchange run one at a time on one worker, the way the cycle rows
+  run, so the two latencies compare like with like;
 - *cycles*: one :class:`~repro.assets.CycleCoordinator` driving an
   N-network ring (each leg on its own Quorum network, ring governance
   wired port-to-port), swept over ring sizes to chart cycles/sec and the
@@ -53,6 +55,8 @@ DEFAULT_JSON = Path(__file__).resolve().parent.parent / "BENCH_assets.json"
 
 N_EXCHANGES = 8
 WORKERS = 4
+#: Exchanges run back to back on one worker after the concurrent batch.
+N_SEQUENTIAL = 8
 OFFER_POLICY = "AND(org:traders-org, org:audit-org)"
 ASK_POLICY = "AND(org:op-org-1, org:op-org-2)"
 
@@ -94,7 +98,7 @@ def asset_scenario():
     for function in ("LockAsset", "ClaimAsset", "UnlockAsset", "GetLock"):
         quorum_port.add_access_rule("fabnet", "traders-org", "asset-vault", function)
 
-    for index in range(N_EXCHANGES):
+    for index in range(N_EXCHANGES + N_SEQUENTIAL):
         fabric.gateway.submit(
             fabric_admin,
             "assetscc",
@@ -223,6 +227,47 @@ def test_concurrent_exchanges_throughput(asset_scenario, bench_report):
         exchanges=N_EXCHANGES,
         workers=WORKERS,
         exchanges_per_s=N_EXCHANGES / wall,
+        lock_to_claim_p50_ms=percentile(latencies, 0.50) * 1e3,
+        lock_to_claim_p95_ms=percentile(latencies, 0.95) * 1e3,
+        lock_to_claim_max_ms=latencies[-1] * 1e3,
+    )
+
+
+def test_sequential_exchanges_latency(asset_scenario, bench_report):
+    """The same exchange, one at a time on one worker: no other exchange
+    queues on the serialized relays, as in the cycle rows below."""
+    fabric_before = asset_scenario["fabric_relay"].stats.asset_commands_served
+    quorum_before = asset_scenario["quorum_relay"].stats.asset_commands_served
+    started = time.perf_counter()
+    latencies = sorted(
+        _run_exchange(asset_scenario, index)
+        for index in range(N_EXCHANGES, N_EXCHANGES + N_SEQUENTIAL)
+    )
+    wall = time.perf_counter() - started
+    assert (
+        asset_scenario["fabric_relay"].stats.asset_commands_served - fabric_before
+        == 2 * N_SEQUENTIAL
+    )
+    assert (
+        asset_scenario["quorum_relay"].stats.asset_commands_served - quorum_before
+        == 3 * N_SEQUENTIAL
+    )
+    rows = [
+        ("exchanges completed", str(N_SEQUENTIAL), ""),
+        ("workers", "1", ""),
+        ("throughput", f"{N_SEQUENTIAL / wall:9.2f}", "exchanges/sec"),
+        ("lock→claim p50", f"{percentile(latencies, 0.50) * 1e3:9.2f} ms", ""),
+        ("lock→claim p95", f"{percentile(latencies, 0.95) * 1e3:9.2f} ms", ""),
+        ("lock→claim max", f"{latencies[-1] * 1e3:9.2f} ms", ""),
+    ]
+    print(f"\nE-assets — {N_SEQUENTIAL} sequential Fabric↔Quorum atomic exchanges")
+    print(format_table(rows, headers=["metric", "value", "unit"]))
+    bench_report.record(
+        SUITE,
+        "exchange-2party-sequential",
+        exchanges=N_SEQUENTIAL,
+        workers=1,
+        exchanges_per_s=N_SEQUENTIAL / wall,
         lock_to_claim_p50_ms=percentile(latencies, 0.50) * 1e3,
         lock_to_claim_p95_ms=percentile(latencies, 0.95) * 1e3,
         lock_to_claim_max_ms=latencies[-1] * 1e3,

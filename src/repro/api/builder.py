@@ -206,7 +206,9 @@ class ExchangeBuilder:
             .with_policies(offer="AND(org:a, org:b)", ask="org:op-org-1")
             .build()
         )
-        result = exchange.run()    # or drive step() by step
+        result = exchange.run()    # or drive the six steps yourself:
+        # lock_offer, verify_offer, lock_counter, verify_counter,
+        # claim_counter, claim_offer
 
     Asset addresses are ``network/ledger/contract`` (three segments — the
     HTLC verbs travel as envelope kinds, not function names). The offer
@@ -380,8 +382,7 @@ class CycleBuilder:
 
     def build(self):
         """Assemble the coordinator (validates the ring and its windows)."""
-        from repro.assets.coordinator import AssetSpec
-        from repro.assets.cycles import CycleCoordinator
+        from repro.assets.cycles import AssetSpec, CycleCoordinator
 
         if len(self._legs) < 2:
             raise RuntimeError(

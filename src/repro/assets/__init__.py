@@ -2,7 +2,8 @@
 
 The paper's relay architecture deliberately stops at trusted *data*
 transfer and names asset transfer as the next step (§6). This package is
-that step: two-party atomic exchange between heterogeneous networks via
+that step: atomic exchange between heterogeneous networks — two-party
+swaps and N-party rings — via
 hash-time-locked contracts, riding the existing relay envelope protocol —
 discovery, failover, interceptors, and the proof plane all unchanged.
 
@@ -13,15 +14,20 @@ discovery, failover, interceptors, and the proof plane all unchanged.
 - :mod:`repro.assets.ports` — :class:`AssetLedgerPort`, the driver
   capability behind ``supports_assets``; commands are ECC-gated and
   submitted under a designated local invoker, like §5 transactions.
+- :mod:`repro.assets.cycles` — :class:`CycleCoordinator`, the one HTLC
+  state machine: an A→B→C→…→A ring of escrows under one hashlock, with
+  per-hop decremented timelocks, proof-verified locks, abort and
+  timeout-refund paths, and journaled crash recovery.
 - :mod:`repro.assets.coordinator` — :class:`AssetExchangeCoordinator`,
-  the explicit exchange state machine: lock → proof-verify → counter-lock
-  → proof-verify → claim → claim, plus abort and timeout-refund paths.
-- :mod:`repro.assets.cycles` — :class:`CycleCoordinator`, the N-party
-  generalization: an A→B→C→…→A ring of escrows under one hashlock, with
-  per-hop decremented timelocks and journaled crash recovery.
+  the two-party exchange as a view over a 2-leg cycle: it names the
+  ring's steps lock → proof-verify → counter-lock → proof-verify → claim
+  → claim and reads exchange journals written before it ran on the
+  engine.
 - :mod:`repro.assets.metrics` — :class:`ExchangeMetrics`, the shared
-  lock-guarded counters both coordinators report into (exported as the
-  ``repro_assets_*`` Prometheus families by ``repro.ops``).
+  lock-guarded counters the engine reports into (exported as the
+  ``repro_assets_*`` Prometheus families by ``repro.ops``). For
+  ``kind="exchange"`` the transition labels are the cycle states
+  (``locking``, ``locked``, ``claiming``) plus the terminal states.
 
 Applications reach it through ``gateway.exchange()`` and
 ``gateway.exchange_cycle()`` (see :class:`repro.api.ExchangeBuilder` /
@@ -39,11 +45,10 @@ from repro.assets.contracts import (
 )
 from repro.assets.coordinator import (
     AssetExchangeCoordinator,
-    AssetSpec,
     ExchangeResult,
     ExchangeState,
 )
-from repro.assets.cycles import CycleCoordinator, CycleResult, CycleState
+from repro.assets.cycles import AssetSpec, CycleCoordinator, CycleResult, CycleState
 from repro.assets.htlc import (
     STATE_AVAILABLE,
     STATE_CLAIMED,

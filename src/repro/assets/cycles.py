@@ -1,4 +1,4 @@
-"""N-party cyclic atomic swaps (the generalized HTLC choreography).
+"""The HTLC swap engine: N-party cyclic swaps, two-party exchanges included.
 
 :class:`CycleCoordinator` drives an A→B→C→…→A ring of escrows: *leg i* is
 party *i* locking its asset — on its own network — for party ``(i+1) % N``.
@@ -13,8 +13,8 @@ One secret, held by party 0, arms every leg:
     ...                           ...
     leg N-1: P(N-1) locks for P0  P1 claims leg 0
 
-Timelocks partition time at every hop: ``deadline_i = deadline_0 −
-i·hop_gap`` strictly decreases along the ring, so the leg claimed first
+Timelocks partition time at every hop: ``deadline_i = deadline_{i−1} −
+hop_gap`` strictly decreases along the ring, so the leg claimed first
 (leg N−1) expires first, and every claimant still has ``hop_gap`` of
 runway on its upstream leg after its own leg's window closes. Before
 locking, party *i* proof-verifies leg *i−1* and takes the hashlock *from
@@ -23,6 +23,11 @@ and before revealing, party 0 proof-verifies that the hashlock survived
 the whole ring unchanged. During the claim walk each party reads the
 revealed preimage from its *own* network's lock record, never from a
 counterparty.
+
+The two-party atomic exchange is the N=2 ring:
+:class:`~repro.assets.coordinator.AssetExchangeCoordinator` is a view over
+a 2-leg engine built with ``kind=KIND_EXCHANGE``, which only changes the
+metrics label, the journal namespace and how errors name the legs.
 
 Abort (pre-reveal) or any mid-cycle failure leaves only refundable
 escrows: :meth:`CycleCoordinator.refund` unwinds every standing leg in
@@ -45,8 +50,8 @@ from repro.assets.htlc import (
     make_hashlock,
     new_preimage,
 )
-from repro.assets.coordinator import AssetSpec
-from repro.assets.metrics import KIND_CYCLE, ExchangeMetrics
+from repro.assets.metrics import KIND_CYCLE, KIND_EXCHANGE, ExchangeMetrics
+from repro.assets.ports import lock_ack
 from repro.errors import (
     AssetError,
     DiscoveryError,
@@ -72,6 +77,40 @@ from repro.utils.ids import random_id
 
 #: :class:`~repro.store.StateStore` namespace for cycle journals.
 NS_CYCLES = "assets/cycles"
+#: :class:`~repro.store.StateStore` namespace for two-party exchange journals.
+NS_EXCHANGES = "assets/exchanges"
+_NAMESPACES = {KIND_CYCLE: NS_CYCLES, KIND_EXCHANGE: NS_EXCHANGES}
+
+#: How errors name an exchange's two legs and the parties escrowing them.
+_EXCHANGE_LEGS = ("offer", "counter")
+_EXCHANGE_PARTIES = ("initiator", "responder")
+
+
+@dataclass(frozen=True)
+class AssetSpec:
+    """One leg of a swap: an asset on a network/ledger/contract.
+
+    No function segment — the HTLC verb travels as the envelope *kind*,
+    not as an addressed function.
+    """
+
+    network: str
+    ledger: str
+    contract: str
+    asset_id: str
+
+    @classmethod
+    def parse(cls, address_text: str, asset_id: str) -> "AssetSpec":
+        segments = address_text.split("/")
+        if len(segments) != 3 or not all(segments):
+            raise ProtocolError(
+                f"asset address {address_text!r} must be network/ledger/contract"
+            )
+        network, ledger, contract = segments
+        return cls(network=network, ledger=ledger, contract=contract, asset_id=asset_id)
+
+    def query_address(self, function: str) -> str:
+        return f"{self.network}/{self.ledger}/{self.contract}/{function}"
 
 
 class CycleState(Enum):
@@ -154,11 +193,14 @@ class CycleCoordinator:
     ``cycle_timeout`` is leg 0's lock lifetime; every later leg's window
     is ``hop_gap`` shorter than its predecessor's, so the claim walk —
     which runs *backward* — always moves onto a leg with a longer
-    remaining window. Crash recovery mirrors
-    :class:`~repro.assets.coordinator.AssetExchangeCoordinator`: journal
-    through a :class:`~repro.store.StateStore`, rebuild with
-    :meth:`resume`, resolve the in-flight command with :meth:`recover`,
-    continue with :meth:`run` (or :meth:`refund`).
+    remaining window. Crash recovery: journal through a
+    :class:`~repro.store.StateStore`, rebuild with :meth:`resume`,
+    resolve the in-flight command with :meth:`recover`, continue with
+    :meth:`run` (or :meth:`refund`).
+
+    ``kind`` (:data:`~repro.assets.metrics.KIND_CYCLE` or
+    :data:`~repro.assets.metrics.KIND_EXCHANGE`) selects the metrics
+    label, the journal namespace and the leg names in error messages.
     """
 
     def __init__(
@@ -172,7 +214,9 @@ class CycleCoordinator:
         store: StateStore | None = None,
         cycle_id: str | None = None,
         metrics: ExchangeMetrics | None = None,
+        kind: str = KIND_CYCLE,
     ) -> None:
+        self.kind = kind
         if len(parties) < 2:
             raise ProtocolError(
                 f"a cycle needs at least two parties, got {len(parties)}"
@@ -185,9 +229,10 @@ class CycleCoordinator:
         for index, (party, spec) in enumerate(zip(parties, specs)):
             if spec.network != party.network_id:
                 raise ProtocolError(
-                    f"leg {index} asset lives on {spec.network!r} but its "
-                    f"party belongs to {party.network_id!r}; each party "
-                    f"escrows on its own network"
+                    f"{self._leg_name(index)} asset lives on {spec.network!r} "
+                    f"but {self._party_label(index)} belongs to "
+                    f"{party.network_id!r}; each party escrows on its own "
+                    f"network"
                 )
         if policies is not None and len(policies) != len(parties):
             raise ProtocolError(
@@ -216,7 +261,7 @@ class CycleCoordinator:
         # Checked HERE, before anything is escrowed: the last leg's window
         # is cycle_timeout − (N−1)·hop_gap, and party 0 will demand
         # verify_margin of it when it verifies before revealing.
-        shortest = cycle_timeout - (self.size - 1) * hop_gap
+        shortest = self._window(self.size - 1)
         if shortest < self.verify_margin:
             raise ProtocolError(
                 f"cycle timeout ({cycle_timeout}s) is too short for "
@@ -229,9 +274,12 @@ class CycleCoordinator:
         self.preimage = new_preimage()
         self.hashlock = make_hashlock(self.preimage)
         #: Per-leg hashlock as proof-verified from the upstream record
-        #: (leg 0 escrows under party 0's own hashlock).
+        #: (leg 0 escrows under party 0's own hashlock). A non-empty entry
+        #: means party *i* has verified its upstream leg.
         self._leg_hashlocks: list[bytes] = [b""] * self.size
         self._leg_hashlocks[0] = self.hashlock
+        #: Party 0 has verified the final leg and may reveal.
+        self._final_verified = False
         self._locked = [False] * self.size
         self._claimed = [False] * self.size
         self._refunded = [False] * self.size
@@ -249,7 +297,7 @@ class CycleCoordinator:
         self._metrics = metrics
         self._started_at: float | None = None
         if metrics is not None:
-            metrics.exchange_started(KIND_CYCLE)
+            metrics.exchange_started(kind)
         self._journal()
 
     # -- durability ---------------------------------------------------------------
@@ -271,6 +319,7 @@ class CycleCoordinator:
             "preimage": self.preimage.hex(),
             "hashlock": self.hashlock.hex(),
             "leg_hashlocks": [value.hex() for value in self._leg_hashlocks],
+            "final_verified": self._final_verified,
             "deadlines": list(self.deadlines),
             "locked": list(self._locked),
             "claimed": list(self._claimed),
@@ -279,7 +328,9 @@ class CycleCoordinator:
             "started_at": self._started_at,
         }
         self._store.put(
-            NS_CYCLES, self.cycle_id, json.dumps(record).encode("utf-8")
+            _NAMESPACES[self.kind],
+            self.cycle_id,
+            json.dumps(record).encode("utf-8"),
         )
 
     @staticmethod
@@ -302,6 +353,7 @@ class CycleCoordinator:
         cycle_id: str,
         policies: list[str | None] | None = None,
         metrics: ExchangeMetrics | None = None,
+        kind: str = KIND_CYCLE,
     ) -> "CycleCoordinator":
         """Rebuild a coordinator from its journal after a crash.
 
@@ -310,10 +362,10 @@ class CycleCoordinator:
         next to resolve whether the command in flight at the crash
         landed, then :meth:`run` (or :meth:`refund`) to continue.
         """
-        raw = store.get(NS_CYCLES, cycle_id)
+        raw = store.get(_NAMESPACES[kind], cycle_id)
         if raw is None:
             raise ExchangeStateError(
-                f"no journaled cycle {cycle_id!r} in the store"
+                f"no journaled {kind} {cycle_id!r} in the store"
             )
         record = json.loads(raw.decode("utf-8"))
         coordinator = cls(
@@ -324,12 +376,16 @@ class CycleCoordinator:
             policies=policies,
             verify_margin=record["verify_margin"],
             cycle_id=cycle_id,
+            kind=kind,
         )
         coordinator.preimage = bytes.fromhex(record["preimage"])
         coordinator.hashlock = bytes.fromhex(record["hashlock"])
         coordinator._leg_hashlocks = [
             bytes.fromhex(value) for value in record["leg_hashlocks"]
         ]
+        # Journals written before the final-leg check became its own step
+        # lack the flag: that check had not been journaled yet.
+        coordinator._final_verified = record.get("final_verified", False)
         coordinator.state = CycleState(record["state"])
         coordinator.deadlines = list(record["deadlines"])
         coordinator._locked = list(record["locked"])
@@ -348,18 +404,20 @@ class CycleCoordinator:
             result.preimage = coordinator.preimage
         # Attach the store (and metrics) only now: a crash inside resume()
         # itself must never regress the journal to the constructor's
-        # CREATED image, and the resumed coordinator is the same logical
-        # exchange, not a second started one.
+        # CREATED image. The metrics are this process's: a swap still
+        # running counts as started here, so its settling balances out.
         coordinator._store = store
         coordinator._metrics = metrics
+        if metrics is not None:
+            metrics.exchange_resumed(kind, coordinator.state.value)
         coordinator._journal()
         return coordinator
 
     def _peek_lock(self, leg: int) -> dict:
         """Proof-verified ``GetLock`` readback of leg ``leg`` by its
-        recipient, returned raw (recovery decides; unlike
-        :meth:`_verify_lock` nothing FAILs here — the readback itself
-        raising leaves the step retriable)."""
+        recipient, returned raw: :meth:`_verify_lock` checks its terms,
+        recovery and lost-ack claims decide from it. A raising readback
+        changes no state."""
         viewer = self._parties[(leg + 1) % self.size]
         spec = self.specs[leg]
         fetched = viewer.remote_query(
@@ -396,6 +454,10 @@ class CycleCoordinator:
                     and record.get("recipient") == self.party_name(leg + 1)
                 ):
                     self.deadlines[leg] = float(record.get("timeout", 0.0))
+                    if leg == 0:
+                        # The start time died with the unjournaled ack;
+                        # the verified record's timeout still fixes it.
+                        self._started_at = self.deadlines[0] - self.cycle_timeout
                     self._mark_locked(leg)
         if self.state is CycleState.LOCKED:
             # Party 0's claim of the final leg may have landed — and if
@@ -415,8 +477,8 @@ class CycleCoordinator:
         if record.get("preimage") != self.preimage.hex():
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"leg {leg} escrow was claimed with a foreign preimage; "
-                f"the cycle cannot proceed"
+                f"{self._leg_name(leg)} escrow was claimed with a foreign "
+                f"preimage; the {self.kind} cannot proceed"
             )
         self.result.claims[leg] = self._journaled_ack(
             self.specs[leg].asset_id
@@ -430,6 +492,24 @@ class CycleCoordinator:
         """``name@network`` of party ``index`` (modulo the ring size)."""
         client = self._parties[index % self.size]
         return f"{client.identity.name}@{client.network_id}"
+
+    def _leg_name(self, leg: int) -> str:
+        if self.kind == KIND_EXCHANGE:
+            return _EXCHANGE_LEGS[leg]
+        return f"leg {leg}"
+
+    def _party_label(self, index: int) -> str:
+        if self.kind == KIND_EXCHANGE:
+            return f"the {_EXCHANGE_PARTIES[index]}"
+        return f"party {index}"
+
+    def upstream_verified(self, party: int) -> bool:
+        """Whether ``party`` has proof-verified its upstream leg: party
+        *i > 0* checks leg *i−1* before locking, party 0 checks the final
+        leg before revealing."""
+        if party == 0:
+            return self._final_verified
+        return bool(self._leg_hashlocks[party])
 
     @staticmethod
     def _auth(client: InteropClient) -> AuthInfo:
@@ -473,20 +553,23 @@ class CycleCoordinator:
     def _advance(self, new_state: CycleState) -> None:
         if new_state not in _TRANSITIONS[self.state]:
             raise ExchangeStateError(
-                f"cannot move cycle from {self.state.value!r} to "
+                f"cannot move {self.kind} from {self.state.value!r} to "
                 f"{new_state.value!r}"
             )
+        previous = self.state
         self.state = new_state
         self.result.state = new_state
         if self._metrics is not None:
-            self._metrics.state_entered(KIND_CYCLE, new_state.value)
+            self._metrics.state_entered(
+                self.kind, new_state.value, previous=previous.value
+            )
         self._journal()
 
     def _require(self, *states: CycleState) -> None:
         if self.state not in states:
             expected = ", ".join(state.value for state in states)
             raise ExchangeStateError(
-                f"step requires state {expected}; cycle is "
+                f"step requires state {expected}; {self.kind} is "
                 f"{self.state.value!r}"
             )
 
@@ -495,6 +578,10 @@ class CycleCoordinator:
             self._advance(CycleState.FAILED)
             raise AssetError(f"{step} failed: {ack.error}")
         return ack
+
+    def _window(self, leg: int) -> float:
+        """Leg ``leg``'s nominal lock lifetime."""
+        return self.cycle_timeout - leg * self.hop_gap
 
     def _next_unlocked(self) -> int | None:
         for index, locked in enumerate(self._locked):
@@ -511,80 +598,101 @@ class CycleCoordinator:
         return None
 
     def _mark_locked(self, leg: int) -> None:
-        self._locked[leg] = True
-        if self.result.locks[leg] is None:
-            self.result.locks[leg] = self._journaled_ack(
-                self.specs[leg].asset_id
-            )
-        if all(self._locked):
-            if self.state is CycleState.CREATED:
-                # Single-step fast-forward through LOCKING (recovery of a
-                # two-party ring whose first lock closed it cannot skip
-                # the intermediate state).
-                self._advance(CycleState.LOCKING)
-            self._advance(CycleState.LOCKED)
-        elif self.state is CycleState.CREATED:
-            self._advance(CycleState.LOCKING)
-        else:
-            self._journal()
+        self._mark(
+            leg, self._locked, self.result.locks, CycleState.LOCKING, CycleState.LOCKED
+        )
 
     def _mark_claimed(self, leg: int) -> None:
-        self._claimed[leg] = True
-        if self.result.claims[leg] is None:
-            self.result.claims[leg] = self._journaled_ack(
-                self.specs[leg].asset_id
+        self._mark(
+            leg, self._claimed, self.result.claims, CycleState.CLAIMING, CycleState.COMPLETED
+        )
+        if (
+            self.state is CycleState.COMPLETED
+            and self._metrics is not None
+            and self._started_at is not None
+        ):
+            self._metrics.latency_recorded(
+                self.kind, self._clock.now() - self._started_at
             )
-        if all(self._claimed):
-            if self.state is CycleState.LOCKED:
-                self._advance(CycleState.CLAIMING)
-            self._advance(CycleState.COMPLETED)
-            if self._metrics is not None and self._started_at is not None:
-                self._metrics.latency_recorded(
-                    KIND_CYCLE, self._clock.now() - self._started_at
-                )
-        elif self.state is CycleState.LOCKED:
-            self._advance(CycleState.CLAIMING)
-        else:
+
+    def _mark(
+        self,
+        leg: int,
+        flags: list[bool],
+        acks: list[AssetAckMsg | None],
+        phase: CycleState,
+        done: CycleState,
+    ) -> None:
+        """Flag leg ``leg``'s lock (or claim) as landed: the first one
+        enters ``phase``, the last one ``done``."""
+        flags[leg] = True
+        if acks[leg] is None:
+            acks[leg] = self._journaled_ack(self.specs[leg].asset_id)
+        if self.state is not phase:
+            self._advance(phase)
+        elif not all(flags):
             self._journal()
+        if all(flags):
+            self._advance(done)
 
     # -- protocol steps -----------------------------------------------------------
+
+    def verify_upstream(self) -> dict:
+        """The party about to act proof-verifies its upstream leg.
+
+        While locking, party *i* (the next to escrow) verifies leg *i−1*
+        — state, recipient, and a remaining lifetime of at least its own
+        window plus the margin, or the preimage could go public with no
+        time left to claim — and keeps the hashlock *from that verified
+        record*, so a tampered relay cannot splice a foreign hashlock
+        into the ring. Once the ring is locked, party 0 verifies that the
+        final leg carries *its own* hashlock, i.e. the value survived
+        every hop, before it reveals. Either result is journaled before
+        the command it guards can be issued.
+        """
+        self._require(CycleState.LOCKING, CycleState.LOCKED)
+        if self.state is CycleState.LOCKED:
+            record = self._verify_lock(
+                0,
+                expected_hashlock=self.hashlock,
+                minimum_lifetime=self.verify_margin,
+            )
+            self._final_verified = True
+        else:
+            party = self._next_unlocked()
+            assert party is not None  # LOCKING leaves a leg unlocked
+            record = self._verify_lock(
+                party, minimum_lifetime=self._window(party) + self.verify_margin
+            )
+            self._leg_hashlocks[party] = bytes.fromhex(record["hashlock"])
+        self._journal()
+        return record
 
     def lock_next(self) -> AssetAckMsg:
         """Escrow the next leg of the ring (forward walk).
 
-        For leg *i > 0* the locking party first proof-verifies leg
-        *i−1* — state, recipient, remaining lifetime — and escrows under
-        the hashlock *from that verified record*, so a tampered relay
-        cannot splice a foreign hashlock into the ring.
+        Leg *i > 0* is locked only after :meth:`verify_upstream` (run
+        here if it has not been) and expires ``hop_gap`` before leg
+        *i−1*.
         """
         self._require(CycleState.CREATED, CycleState.LOCKING)
         leg = self._next_unlocked()
         if leg is None:  # pragma: no cover - states make this unreachable
             raise ExchangeStateError("every leg is already locked")
         if leg == 0:
-            deadline = self._clock.now() + self.cycle_timeout
             self._started_at = self._clock.now()
+            deadline = self._started_at + self.cycle_timeout
         else:
+            if not self._leg_hashlocks[leg]:
+                self.verify_upstream()
             upstream_deadline = self.deadlines[leg - 1]
             assert upstream_deadline is not None
             deadline = upstream_deadline - self.hop_gap
-            record = self._verify_lock(
-                self._parties[leg],
-                leg - 1,
-                expected_recipient=self.party_name(leg),
-                # The upstream leg must outlive this party's own planned
-                # window by the margin, or the preimage could go public
-                # with no time left to claim.
-                minimum_lifetime=(deadline - self._clock.now())
-                + self.verify_margin,
-            )
-            self._leg_hashlocks[leg] = bytes.fromhex(record["hashlock"])
-            self._journal()  # the lock command below must postdate this
         if deadline <= self._clock.now():
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"leg {leg} deadline would already have passed; the cycle "
-                f"spent too long locking earlier legs"
+                f"{self._leg_name(leg)} deadline would already have passed; "
+                f"the {self.kind} spent too long locking earlier legs"
             )
         ack = self._checked(
             self._parties[leg].relay.remote_asset(
@@ -597,7 +705,7 @@ class CycleCoordinator:
                     timeout=deadline,
                 ),
             ),
-            f"leg {leg} lock",
+            f"{self._leg_name(leg)} lock",
         )
         self.deadlines[leg] = deadline
         self.result.locks[leg] = ack
@@ -607,12 +715,11 @@ class CycleCoordinator:
     def claim_next(self) -> AssetAckMsg:
         """Claim the next leg due (backward walk).
 
-        Party 0 opens the walk: it proof-verifies the final leg — in
-        particular that its hashlock is *party 0's own*, i.e. the value
-        survived every hop of the ring — and claims it, publishing the
-        preimage. Every later claimant reads the now-public preimage
-        from its own network's just-claimed leg and spends it one hop
-        further back.
+        Party 0 opens the walk: once :meth:`verify_upstream` (run here if
+        it has not been) has checked the final leg, it claims it,
+        publishing the preimage. Every later claimant reads the
+        now-public preimage from its own network's just-claimed leg and
+        spends it one hop further back.
         """
         self._require(CycleState.LOCKED, CycleState.CLAIMING)
         leg = self._next_unclaimed()
@@ -620,15 +727,8 @@ class CycleCoordinator:
             raise ExchangeStateError("every leg is already claimed")
         claimant = self._parties[(leg + 1) % self.size]
         if leg == self.size - 1:
-            # Party 0 must not reveal against a ring whose hashlock was
-            # substituted mid-cycle: verify the final leg carries its own.
-            self._verify_lock(
-                claimant,
-                leg,
-                expected_recipient=self.party_name(0),
-                expected_hashlock=self.hashlock,
-                minimum_lifetime=self.verify_margin,
-            )
+            if not self._final_verified:
+                self.verify_upstream()
             preimage = self.preimage
         else:
             # The claimant's own leg (leg+1, on its own network) was just
@@ -638,19 +738,19 @@ class CycleCoordinator:
                     MSG_KIND_ASSET_STATUS,
                     self._command(claimant, self.specs[leg + 1]),
                 ),
-                f"leg {leg + 1} preimage readback",
+                f"{self._leg_name(leg + 1)} preimage readback",
             )
             if not status.preimage:
                 self._advance(CycleState.FAILED)
                 raise AssetError(
-                    f"leg {leg + 1} lock on "
+                    f"{self._leg_name(leg + 1)} lock on "
                     f"{self.specs[leg + 1].network!r} carries no revealed "
                     f"preimage (state {status.state!r})"
                 )
             preimage = status.preimage
         ack = self._checked(
-            self._claim_with_recovery(claimant, leg, preimage),
-            f"leg {leg} claim",
+            self._claim_with_recovery(leg, preimage),
+            f"{self._leg_name(leg)} claim",
         )
         self.result.claims[leg] = ack
         self.result.preimage = self.preimage
@@ -670,7 +770,7 @@ class CycleCoordinator:
             self.claim_next()
         if self.state is not CycleState.COMPLETED:
             raise ExchangeStateError(
-                f"cycle cannot proceed from state {self.state.value!r}"
+                f"{self.kind} cannot proceed from state {self.state.value!r}"
             )
         return self.result
 
@@ -686,7 +786,7 @@ class CycleCoordinator:
         self._require(*_PRE_REVEAL_STATES)
         self._advance(CycleState.ABORTED)
         if self._metrics is not None:
-            self._metrics.abort_recorded(KIND_CYCLE)
+            self._metrics.abort_recorded(self.kind)
 
     def refund(self) -> list[AssetAckMsg]:
         """Unwind every standing (locked, unclaimed) escrow after its
@@ -723,13 +823,15 @@ class CycleCoordinator:
                 self._command(self._parties[leg], self.specs[leg]),
             )
             if ack.status != STATUS_OK:
-                raise AssetError(f"leg {leg} refund refused: {ack.error}")
+                raise AssetError(
+                    f"{self._leg_name(leg)} refund refused: {ack.error}"
+                )
             self._refunded[leg] = True
             self._journal()  # a crash here must not re-refund this leg
             self.result.refunds.append(ack)
             acks.append(ack)
             if self._metrics is not None:
-                self._metrics.refund_recorded(KIND_CYCLE)
+                self._metrics.refund_recorded(self.kind)
         self._advance(CycleState.REFUNDED)
         return acks
 
@@ -737,27 +839,22 @@ class CycleCoordinator:
 
     def _verify_lock(
         self,
-        verifier: InteropClient,
-        leg: int,
-        expected_recipient: str,
+        party: int,
         minimum_lifetime: float,
         expected_hashlock: bytes | None = None,
     ) -> dict:
-        """Fetch + proof-verify leg ``leg``'s lock record; check its terms.
+        """``party`` fetches + proof-verifies its upstream leg's lock
+        record and checks its terms.
 
         Runs the ordinary trusted-data-transfer query (attestations under
         the verification policy, end-to-end sealed), then validates the
         HTLC terms the verifying party depends on. Failure marks the
         cycle FAILED and raises.
         """
+        leg = (party - 1) % self.size
         spec = self.specs[leg]
         try:
-            fetched = verifier.remote_query(
-                spec.query_address("GetLock"),
-                [spec.asset_id],
-                policy=self._policies[leg],
-            )
-            record = json.loads(fetched.data)
+            record = self._peek_lock(leg)
         except Exception:
             self._advance(CycleState.FAILED)
             raise
@@ -769,6 +866,7 @@ class CycleCoordinator:
                 f"record covers asset {record.get('asset_id')!r}, expected "
                 f"{spec.asset_id!r}"
             )
+        expected_recipient = self.party_name(party)
         if record.get("recipient") != expected_recipient:
             problems.append(
                 f"locked for {record.get('recipient')!r}, expected "
@@ -778,7 +876,7 @@ class CycleCoordinator:
             expected_hashlock is not None
             and record.get("hashlock") != expected_hashlock.hex()
         ):
-            problems.append("hashlock does not match the cycle secret")
+            problems.append(f"hashlock does not match the {self.kind} secret")
         remaining = float(record.get("timeout", 0.0)) - self._clock.now()
         if remaining < minimum_lifetime:
             problems.append(
@@ -788,14 +886,12 @@ class CycleCoordinator:
         if problems:
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"verified lock for leg {leg} on {spec.network!r} is "
+                f"verified {self._leg_name(leg)} lock on {spec.network!r} is "
                 f"unacceptable: " + "; ".join(problems)
             )
         return record
 
-    def _claim_with_recovery(
-        self, client: InteropClient, leg: int, preimage: bytes
-    ) -> AssetAckMsg:
+    def _claim_with_recovery(self, leg: int, preimage: bytes) -> AssetAckMsg:
         """Issue a claim, surviving a lost ack without double-claiming.
 
         A transport failure on the claim round-trip does not mean the
@@ -807,6 +903,7 @@ class CycleCoordinator:
         rejects a second claim), still locked means the request itself
         was lost and is safe to re-issue. Anything else is unrecoverable.
         """
+        client = self._parties[(leg + 1) % self.size]
         spec = self.specs[leg]
         command = self._command(client, spec, preimage=preimage)
         try:
@@ -814,38 +911,18 @@ class CycleCoordinator:
         except (RelayError, DiscoveryError):
             # May itself raise on an unreachable/tampering path; that
             # propagates without a state change, so the step is retriable.
-            fetched = client.remote_query(
-                spec.query_address("GetLock"),
-                [spec.asset_id],
-                policy=self._policies[leg],
-            )
-            record = json.loads(fetched.data)
+            record = self._peek_lock(leg)
             if (
                 record.get("state") == STATE_CLAIMED
                 and record.get("preimage") == preimage.hex()
             ):
                 # The lost ack's claim committed: answer with the
                 # proof-verified post-claim record.
-                return AssetAckMsg(
-                    version=PROTOCOL_VERSION,
-                    nonce=command.nonce,
-                    status=STATUS_OK,
-                    asset_id=record.get("asset_id", spec.asset_id),
-                    state=record.get("state", ""),
-                    owner=record.get("owner", ""),
-                    recipient=record.get("recipient", ""),
-                    hashlock=(
-                        bytes.fromhex(record["hashlock"])
-                        if record.get("hashlock")
-                        else b""
-                    ),
-                    timeout=float(record.get("timeout", 0.0)),
-                    preimage=preimage,
-                )
+                return lock_ack(command, record)
             if record.get("state") == STATE_LOCKED:
                 return client.relay.remote_asset(MSG_KIND_ASSET_CLAIM, command)
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"leg {leg} claim ack lost and the escrow is unrecoverable "
-                f"(verified state {record.get('state')!r})"
+                f"{self._leg_name(leg)} claim ack lost and the escrow is "
+                f"unrecoverable (verified state {record.get('state')!r})"
             )

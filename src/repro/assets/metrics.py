@@ -1,8 +1,9 @@
-"""Shared instrumentation the exchange coordinators report into.
+"""Shared instrumentation the HTLC swap engine reports into.
 
 One process-wide :class:`ExchangeMetrics` can be handed to any number of
 :class:`~repro.assets.coordinator.AssetExchangeCoordinator` and
-:class:`~repro.assets.cycles.CycleCoordinator` instances; every counter
+:class:`~repro.assets.cycles.CycleCoordinator` instances (the former runs
+on the latter, labelled ``kind="exchange"``); every counter
 mutation happens under one lock so concurrent exchanges on different
 threads aggregate safely. ``repro.ops.exporters.register_assets`` turns a
 snapshot of this object into the ``repro_assets_*`` Prometheus families.
@@ -44,12 +45,26 @@ class ExchangeMetrics:
         with self._lock:
             self._started[kind] = self._started.get(kind, 0) + 1
 
-    def state_entered(self, kind: str, state: str) -> None:
-        """One coordinator entered ``state`` (called on every transition)."""
+    def exchange_resumed(self, kind: str, state: str) -> None:
+        """A coordinator was rebuilt from its journal in ``state``.
+
+        The metrics belong to the resuming process, which never saw the
+        start: a swap that has not settled yet counts as started here, so
+        that settling it brings ``active`` back to zero.
+        """
+        if state not in _SETTLED_STATES:
+            self.exchange_started(kind)
+
+    def state_entered(
+        self, kind: str, state: str, previous: str | None = None
+    ) -> None:
+        """One coordinator moved from ``previous`` into ``state`` (called
+        on every transition). It settles on its first settled state only:
+        ``failed`` → ``refunded`` settles once."""
         with self._lock:
             key = (kind, state)
             self._transitions[key] = self._transitions.get(key, 0) + 1
-            if state in _SETTLED_STATES:
+            if state in _SETTLED_STATES and previous not in _SETTLED_STATES:
                 self._settled[kind] = self._settled.get(kind, 0) + 1
 
     def refund_recorded(self, kind: str, legs: int = 1) -> None:

@@ -13,7 +13,7 @@ on the asset contract's functions.
 Trust note: the ack a port returns is transport truth only. Counterparties
 upgrade a remote lock to *trusted* data with a proof-carrying query
 against the contract's ``GetLock`` view before acting on it (see
-:class:`repro.assets.AssetExchangeCoordinator`), so a lying relay or
+:class:`repro.assets.CycleCoordinator`), so a lying relay or
 driver can deny service but cannot fake a lock.
 """
 
@@ -95,6 +95,29 @@ def validate_local_member(creator: Certificate, config, network_id: str) -> None
     validate_chain(creator, [root])
 
 
+def lock_ack(
+    command: AssetCommandMsg,
+    record: dict,
+    tx_id: str = "",
+    block_number: int = 0,
+) -> AssetAckMsg:
+    """The OK ack answering ``command`` with the lock record ``record``."""
+    return AssetAckMsg(
+        version=PROTOCOL_VERSION,
+        nonce=command.nonce,
+        status=STATUS_OK,
+        asset_id=record.get("asset_id", command.asset_id),
+        state=record.get("state", ""),
+        owner=record.get("owner", ""),
+        recipient=record.get("recipient", ""),
+        hashlock=bytes.fromhex(record["hashlock"]) if record.get("hashlock") else b"",
+        timeout=float(record.get("timeout", 0.0)),
+        preimage=bytes.fromhex(record["preimage"]) if record.get("preimage") else b"",
+        tx_id=tx_id,
+        block_number=block_number,
+    )
+
+
 class AssetLedgerPort(ABC):
     """Hashlock/timelock asset operations against one ledger.
 
@@ -122,31 +145,6 @@ class AssetLedgerPort(ABC):
     @abstractmethod
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         """The asset's current lock record (read-only, unproven)."""
-
-    # -- shared helpers -----------------------------------------------------------
-
-    def _ack(
-        self,
-        command: AssetCommandMsg,
-        record: dict,
-        tx_id: str = "",
-        block_number: int = 0,
-    ) -> AssetAckMsg:
-        return AssetAckMsg(
-            version=PROTOCOL_VERSION,
-            nonce=command.nonce,
-            status=STATUS_OK,
-            asset_id=record.get("asset_id", command.asset_id),
-            state=record.get("state", ""),
-            owner=record.get("owner", ""),
-            recipient=record.get("recipient", ""),
-            hashlock=bytes.fromhex(record["hashlock"]) if record.get("hashlock") else b"",
-            timeout=float(record.get("timeout", 0.0)),
-            preimage=bytes.fromhex(record["preimage"]) if record.get("preimage") else b"",
-            tx_id=tx_id,
-            block_number=block_number,
-        )
-
 
 class FabricAssetLedgerPort(AssetLedgerPort):
     """Drives the :class:`~repro.assets.contracts.FabricAssetChaincode`.
@@ -212,7 +210,7 @@ class FabricAssetLedgerPort(AssetLedgerPort):
                     f"{result.validation_code.value}"
                 )
             record = self._read_lock(command.asset_id)
-        return self._ack(command, record, result.tx_id, result.block_number)
+        return lock_ack(command, record, result.tx_id, result.block_number)
 
     def _read_lock(self, asset_id: str) -> dict:
         raw = self._network.gateway.evaluate(
@@ -250,7 +248,7 @@ class FabricAssetLedgerPort(AssetLedgerPort):
 
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         self._check(command.auth, "GetLock")
-        return self._ack(command, self._read_lock(command.asset_id))
+        return lock_ack(command, self._read_lock(command.asset_id))
 
 
 class CordaAssetLedgerPort(AssetLedgerPort):
@@ -361,7 +359,7 @@ class CordaAssetLedgerPort(AssetLedgerPort):
                 "created_at": self._network.clock.now(),
             }
             tx = self._evolve(ref, state, asset, record, "AssetLock")
-        return self._ack(
+        return lock_ack(
             command, record, tx.tx_id, self._network.sequence_of(tx.tx_id)
         )
 
@@ -387,7 +385,7 @@ class CordaAssetLedgerPort(AssetLedgerPort):
             asset = dict(state.data["asset"])
             asset["owner"] = lock["recipient"]
             tx = self._evolve(ref, state, asset, record, "AssetClaim")
-        return self._ack(
+        return lock_ack(
             command, record, tx.tx_id, self._network.sequence_of(tx.tx_id)
         )
 
@@ -411,14 +409,14 @@ class CordaAssetLedgerPort(AssetLedgerPort):
             record["state"] = STATE_REFUNDED
             asset = dict(state.data["asset"])
             tx = self._evolve(ref, state, asset, record, "AssetUnlock")
-        return self._ack(
+        return lock_ack(
             command, record, tx.tx_id, self._network.sequence_of(tx.tx_id)
         )
 
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         self._check(command.auth, "GetLock")
         _ref, state = self._state(command.asset_id)
-        return self._ack(command, self._record_of(state))
+        return lock_ack(command, self._record_of(state))
 
     # -- proof-carrying views (registered as driver query handlers) ----------------
 
@@ -506,7 +504,7 @@ class PubChainAssetLedgerPort(AssetLedgerPort):
                 self._invoker, self.contract, function, args
             )
             record = self._read_lock(command.asset_id)
-        return self._ack(command, record, tx.tx_id, self._chain.height_of(tx.tx_id))
+        return lock_ack(command, record, tx.tx_id, self._chain.height_of(tx.tx_id))
 
     def _read_lock_with_keys(self, asset_id: str) -> tuple[dict, frozenset]:
         raw, read_keys = self._chain.view(
@@ -569,7 +567,7 @@ class PubChainAssetLedgerPort(AssetLedgerPort):
 
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         self._check(command.auth, "GetLock")
-        return self._ack(command, self._read_lock(command.asset_id))
+        return lock_ack(command, self._read_lock(command.asset_id))
 
 
 class QuorumAssetLedgerPort(AssetLedgerPort):
@@ -624,7 +622,7 @@ class QuorumAssetLedgerPort(AssetLedgerPort):
             )
             block = len(self._network.blocks) - 1
             record = self._read_lock(command.asset_id)
-        return self._ack(command, record, tx.tx_id, block)
+        return lock_ack(command, record, tx.tx_id, block)
 
     def _read_lock(self, asset_id: str) -> dict:
         peer = self._network.peers[0]
@@ -666,4 +664,4 @@ class QuorumAssetLedgerPort(AssetLedgerPort):
 
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         self._check(command.auth, "GetLock")
-        return self._ack(command, self._read_lock(command.asset_id))
+        return lock_ack(command, self._read_lock(command.asset_id))

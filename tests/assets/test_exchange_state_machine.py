@@ -183,26 +183,21 @@ class TestVerificationGuards:
         assert exchange.state is ExchangeState.REFUNDED
         assert scenario.gold_owner() == "alice@fabnet"
 
-    def test_wrong_recipient_detected_by_verification(self, exchange_scenario):
+    def test_wrong_recipient_detected_by_verification(
+        self, exchange_scenario, monkeypatch
+    ):
         """If the on-ledger offer lock names someone else, the responder's
         proof-carrying verification refuses to counter-lock."""
         scenario = exchange_scenario
         exchange = build_exchange(scenario)
-        # Simulate a mismatched escrow: lock GOLD-1 for carol, not bob.
-        from repro.proto.messages import MSG_KIND_ASSET_LOCK
-
-        command = exchange._command(
-            scenario.alice_client,
-            exchange.offer,
-            recipient="carol@elsewhere",
-            hashlock=exchange.hashlock,
-            timeout=scenario.clock.now() + 600.0,
+        # Simulate a mismatched escrow: the engine locks GOLD-1 for carol,
+        # not bob.
+        monkeypatch.setattr(
+            exchange._engine, "party_name", lambda index: "carol@elsewhere"
         )
-        ack = scenario.alice_client.relay.remote_asset(MSG_KIND_ASSET_LOCK, command)
-        assert ack.status == 0  # STATUS_OK
-        exchange.result.offer_lock = ack
-        exchange.state = ExchangeState.OFFER_LOCKED
-        exchange.result.state = ExchangeState.OFFER_LOCKED
+        exchange.lock_offer()
+        monkeypatch.undo()
+        assert exchange.state is ExchangeState.OFFER_LOCKED
         with pytest.raises(AssetError, match="locked for"):
             exchange.verify_offer()
         assert exchange.state is ExchangeState.FAILED
